@@ -93,7 +93,13 @@ class SubsystemCoupler:
             for net_state, bucket in self._counts.items():
                 states = list(bucket)
                 probs = np.array([bucket[s] for s in states])
-                self._tables[net_state] = (states, probs / probs.sum())
+                probs = probs / probs.sum()
+                # The cdf ``rng.choice(len(states), p=probs)`` builds on
+                # every call; searching it against one ``rng.random()``
+                # draws the identical index sequence.
+                cdf = probs.cumsum()
+                cdf /= cdf[-1]
+                self._tables[net_state] = (states, cdf)
         return self._tables
 
     def known(self, net_state: Hashable) -> bool:
@@ -104,8 +110,8 @@ class SubsystemCoupler:
         tables = self._build()
         if net_state not in tables:
             raise KeyError(f"network state {net_state!r} never observed")
-        states, probs = tables[net_state]
-        return states[int(rng.choice(len(states), p=probs))]
+        states, cdf = tables[net_state]
+        return states[int(cdf.searchsorted(rng.random(), side="right"))]
 
     def mode(self, net_state: Hashable) -> Hashable:
         """Most frequent subsystem state for a network state."""
@@ -291,6 +297,7 @@ class KoozaModel:
         net_path = self.network_chain.sample_path(n, rng)
         sto_prev = mem_prev = cpu_prev = None
         lbn_cursor = 0
+        activations: dict[tuple, dict[str, int]] = {}
         for net_state in net_path:
             t += sample_gap()
             net_bytes = max(
@@ -325,10 +332,11 @@ class KoozaModel:
             # per request (e.g. one cpu_lookup per tier); per-request
             # budgets learned from traces are spread over those
             # activations.
-            counts = {
-                name: max(1, sum(1 for s in sequence if s == name))
-                for name in set(sequence)
-            }
+            counts = activations.get(sequence)
+            if counts is None:
+                counts = activations[sequence] = {
+                    name: sequence.count(name) for name in set(sequence)
+                }
             stages = []
             for name in sequence:
                 if name == "network_rx":

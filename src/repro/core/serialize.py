@@ -71,6 +71,35 @@ def _discretizer_from_dict(data: dict) -> QuantileDiscretizer:
     return d
 
 
+def _fit_to_dict(fit: FittedDistribution) -> dict:
+    data = {
+        "family": fit.family,
+        "params": list(fit.params),
+        "ks_statistic": fit.ks_statistic,
+        "ks_pvalue": fit.ks_pvalue,
+        "log_likelihood": fit.log_likelihood,
+    }
+    # Optional key: written only when a family was skipped, so models
+    # without one serialize exactly as before and older files load.
+    if fit.skipped:
+        data["skipped_families"] = [list(pair) for pair in fit.skipped]
+    return data
+
+
+def _fit_from_dict(data: dict) -> FittedDistribution:
+    return FittedDistribution(
+        family=data["family"],
+        params=tuple(data["params"]),
+        ks_statistic=data["ks_statistic"],
+        ks_pvalue=data["ks_pvalue"],
+        log_likelihood=data["log_likelihood"],
+        skipped=tuple(
+            (family, reason)
+            for family, reason in data.get("skipped_families", ())
+        ),
+    )
+
+
 def _coupler_to_dict(coupler: SubsystemCoupler) -> list:
     return [
         [_encode_state(net), _encode_state(state), count]
@@ -111,13 +140,7 @@ def model_to_dict(model: KoozaModel) -> dict:
         },
         "arrival_gaps": model.arrival_gaps.tolist(),
         "arrival_fit": (
-            {
-                "family": model.arrival_fit.family,
-                "params": list(model.arrival_fit.params),
-                "ks_statistic": model.arrival_fit.ks_statistic,
-                "ks_pvalue": model.arrival_fit.ks_pvalue,
-                "log_likelihood": model.arrival_fit.log_likelihood,
-            }
+            _fit_to_dict(model.arrival_fit)
             if model.arrival_fit is not None
             else None
         ),
@@ -171,14 +194,7 @@ def model_from_dict(data: dict) -> KoozaModel:
     }
     model.arrival_gaps = np.array(data["arrival_gaps"])
     if data["arrival_fit"] is not None:
-        fit = data["arrival_fit"]
-        model.arrival_fit = FittedDistribution(
-            family=fit["family"],
-            params=tuple(fit["params"]),
-            ks_statistic=fit["ks_statistic"],
-            ks_pvalue=fit["ks_pvalue"],
-            log_likelihood=fit["log_likelihood"],
-        )
+        model.arrival_fit = _fit_from_dict(data["arrival_fit"])
     model.couplers = {
         name: _coupler_from_dict(rows)
         for name, rows in data["couplers"].items()

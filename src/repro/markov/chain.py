@@ -16,6 +16,13 @@ import numpy as np
 __all__ = ["MarkovChain"]
 
 
+def _cdf(probabilities: np.ndarray) -> np.ndarray:
+    """The cdf ``Generator.choice`` searches for ``p=probabilities``."""
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 class MarkovChain:
     """A first-order Markov chain with estimated transition matrix."""
 
@@ -45,6 +52,12 @@ class MarkovChain:
             raise ValueError("initial distribution must be a length-n simplex point")
         self.initial_distribution = initial
         self._index = {state: i for i, state in enumerate(self.states)}
+        # ``Generator.choice(n, p=p)`` checks p, builds its cdf and
+        # searches it against one ``rng.random()`` on every call.  The
+        # cdfs are built here once, the same way, so searching them
+        # draws the identical index sequence (see ``sample_path``).
+        self._initial_cdf = _cdf(initial)
+        self._transition_cdfs = [_cdf(row) for row in matrix]
 
     @property
     def n_states(self) -> int:
@@ -98,16 +111,22 @@ class MarkovChain:
         """Generate a state path of length ``n_steps``."""
         if n_steps < 1:
             raise ValueError(f"need >= 1 step, got {n_steps}")
+        # One uniform per drawn state, in the order ``rng.choice`` would
+        # draw them; nothing else touches ``rng`` in between, so one
+        # block draw consumes the same bit-generator sequence.
         if start is None:
-            current = int(rng.choice(self.n_states, p=self.initial_distribution))
+            uniforms = rng.random(n_steps)
+            current = int(self._initial_cdf.searchsorted(uniforms[0], side="right"))
+            uniforms = uniforms[1:]
         else:
+            uniforms = rng.random(n_steps - 1)
             current = self.index_of(start)
-        path = [self.states[current]]
-        for _ in range(n_steps - 1):
-            current = int(
-                rng.choice(self.n_states, p=self.transition_matrix[current])
-            )
-            path.append(self.states[current])
+        states = self.states
+        cdfs = self._transition_cdfs
+        path = [states[current]]
+        for u in uniforms.tolist():
+            current = int(cdfs[current].searchsorted(u, side="right"))
+            path.append(states[current])
         return path
 
     def stationary_distribution(self) -> np.ndarray:

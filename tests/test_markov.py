@@ -164,6 +164,126 @@ def test_discretizer_transform_in_range_property(values):
     assert np.all(indices < d.effective_bins)
 
 
+# -- draw identity -------------------------------------------------------
+#
+# ``MarkovChain.sample_path`` and ``SubsystemCoupler.sample`` search
+# precomputed cdfs instead of calling ``rng.choice(n, p=...)``.  They
+# must return what the choice-based reference returns and leave the
+# generator in the same state, with other draws interleaved.
+
+
+def _reference_path(chain, n_steps, rng, start=None):
+    if start is None:
+        current = int(rng.choice(chain.n_states, p=chain.initial_distribution))
+    else:
+        current = chain.index_of(start)
+    path = [chain.states[current]]
+    for _ in range(n_steps - 1):
+        current = int(rng.choice(chain.n_states, p=chain.transition_matrix[current]))
+        path.append(chain.states[current])
+    return path
+
+
+def _simplex(draw, n):
+    """A probability vector of length n, zero entries allowed."""
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=n, max_size=n
+        )
+    )
+    if sum(weights) == 0:
+        weights[draw(st.integers(0, n - 1))] = 1.0
+    weights = np.array(weights)
+    return weights / weights.sum()
+
+
+@st.composite
+def chains(draw):
+    n = draw(st.integers(1, 6))
+    rows = []
+    for i in range(n):
+        if draw(st.booleans()) and draw(st.booleans()):
+            row = np.zeros(n)
+            row[i] = 1.0  # absorbing
+        else:
+            row = _simplex(draw, n)
+        rows.append(row)
+    states = [(f"s{i}", i % 2) for i in range(n)]
+    return MarkovChain(states, np.array(rows), _simplex(draw, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    chain=chains(),
+    seed=st.integers(0, 2**32 - 1),
+    calls=st.lists(
+        st.tuples(st.integers(1, 12), st.one_of(st.none(), st.integers(0, 5)), st.booleans()),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_sample_path_draws_identically_to_choice(chain, seed, calls):
+    ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n_steps, start, interleave in calls:
+        if start is not None:
+            start = chain.states[start % chain.n_states]
+        got = chain.sample_path(n_steps, ours, start=start)
+        assert got == _reference_path(chain, n_steps, reference, start=start)
+        if interleave:
+            assert ours.standard_normal(2).tolist() == reference.standard_normal(2).tolist()
+    assert ours.bit_generator.state == reference.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    buckets=st.dictionaries(
+        st.integers(0, 5),
+        st.dictionaries(
+            st.tuples(st.sampled_from(["read", "write"]), st.integers(0, 4)),
+            st.floats(1.0, 50.0),
+            min_size=1,
+            max_size=6,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.tuples(st.integers(0, 5), st.booleans()), min_size=1, max_size=20),
+)
+def test_coupler_sample_draws_identically_to_choice(buckets, seed, picks):
+    from repro.core import SubsystemCoupler
+
+    coupler = SubsystemCoupler()
+    for net_state, bucket in buckets.items():
+        for state, count in bucket.items():
+            for _ in range(int(count)):
+                coupler.observe(net_state, state)
+    ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for net_state, interleave in picks:
+        if not coupler.known(net_state):
+            continue
+        bucket = coupler._counts[net_state]
+        states = list(bucket)
+        probs = np.array([bucket[s] for s in states])
+        want = states[int(reference.choice(len(states), p=probs / probs.sum()))]
+        assert coupler.sample(net_state, ours) == want
+        if interleave:
+            assert ours.random() == reference.random()
+    assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def test_coupler_rebuilds_its_cdf_after_new_observations():
+    from repro.core import SubsystemCoupler
+
+    coupler = SubsystemCoupler()
+    coupler.observe(0, "a")
+    rng = np.random.default_rng(0)
+    assert {coupler.sample(0, rng) for _ in range(20)} == {"a"}
+    for _ in range(1000):
+        coupler.observe(0, "b")
+    assert "b" in {coupler.sample(0, rng) for _ in range(20)}
+
+
 # -- HierarchicalMarkovChain -------------------------------------------------
 
 
