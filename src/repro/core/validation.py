@@ -23,12 +23,11 @@ from ..stats import (
     CoMomentsAccumulator,
     ExactQuantiles,
     MomentsAccumulator,
-    cross_correlation,
     ks_two_sample,
 )
 from ..tracing import TraceSource
 from ..tracing.columnar import take_columns
-from .features import RequestFeatures, extract_request_features
+from .features import RequestFeatures, source_feature_columns
 
 __all__ = [
     "ProfileComparison",
@@ -175,22 +174,15 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _modal_op(ops: list[str]) -> str:
-    values, counts = np.unique(ops, return_counts=True)
-    return str(values[np.argmax(counts)])
-
-
 @dataclass
 class ProfileFeatureStats:
     """Mergeable per-profile feature statistics (one side of Table 2).
 
-    The streaming counterpart of one profile's feature lists in
-    :func:`compare_workloads`: moments for the mean columns, exact
-    quantiles for the latency tail, categorical counts for the op-match
-    columns.  ``merge`` composes accumulator merges, so folding shard
-    by shard and merging gives the same statistics as folding the
-    stitched whole (see ``docs/streaming_analysis.md`` for the FP
-    tolerance contract).
+    Moments for the mean columns, exact quantiles for the latency
+    tail, categorical counts for the op-match columns.  ``merge``
+    composes accumulator merges, so folding shard by shard and merging
+    gives the same statistics as folding the stitched whole (see
+    ``docs/streaming_analysis.md`` for the FP tolerance contract).
     """
 
     network_bytes: MomentsAccumulator = field(default_factory=MomentsAccumulator)
@@ -207,21 +199,12 @@ class ProfileFeatureStats:
     def n(self) -> int:
         return self.network_bytes.n
 
-    def add(self, f: RequestFeatures) -> None:
-        self.network_bytes.add(f.network_bytes)
-        self.cpu_utilization.add(f.cpu_utilization)
-        self.memory_bytes.add(f.memory_bytes)
-        self.storage_bytes.add(f.storage_bytes)
-        self.latency.add(f.latency)
-        self.memory_ops.add(f.memory_op)
-        self.storage_ops.add(f.storage_op)
-
     def update_batch(self, cols: Mapping[str, Any]) -> None:
         """Fold a feature-column batch (one profile's subset of
         :func:`repro.core.features.request_feature_columns` output).
 
-        Latency buffers, op counts and ``n`` are bit-identical to
-        repeated :meth:`add`; the moment fields follow the 1e-9
+        Latency buffers, op counts and ``n`` are bit-identical to a
+        feature-by-feature fold; the moment fields follow the 1e-9
         relative contract of
         :meth:`repro.stats.MomentsAccumulator.update_batch`.
         """
@@ -286,20 +269,6 @@ class WorkloadFeatureStats:
     joint: CoMomentsAccumulator = field(default_factory=CoMomentsAccumulator)
     n: int = 0
 
-    def add(self, f: RequestFeatures) -> None:
-        key = profile_key(f)
-        if key not in self.profiles:
-            self.profiles[key] = ProfileFeatureStats()
-        self.profiles[key].add(f)
-        self.latencies.add(f.latency)
-        self.joint.add(f.network_bytes, f.storage_bytes)
-        self.n += 1
-
-    def add_features(self, features) -> "WorkloadFeatureStats":
-        for f in features:
-            self.add(f)
-        return self
-
     def update_batch(self, cols: Mapping[str, Any]) -> "WorkloadFeatureStats":
         """Fold a whole feature-column batch (the output of
         :func:`repro.core.features.request_feature_columns`).
@@ -309,7 +278,7 @@ class WorkloadFeatureStats:
         assignment matches the scalar path exactly — and each group
         folds through :meth:`ProfileFeatureStats.update_batch` with
         row order preserved, so quantile buffers and counts are
-        bit-identical to per-feature :meth:`add`.
+        bit-identical to a feature-by-feature fold.
         """
         n = int(cols["n"])
         if n == 0:
@@ -334,10 +303,6 @@ class WorkloadFeatureStats:
         return self
 
     @classmethod
-    def from_features(cls, features) -> "WorkloadFeatureStats":
-        return cls().add_features(features)
-
-    @classmethod
     def from_feature_columns(cls, cols: Mapping[str, Any]) -> "WorkloadFeatureStats":
         """Fresh statistics from one feature-column batch."""
         return cls().update_batch(cols)
@@ -345,7 +310,7 @@ class WorkloadFeatureStats:
     @classmethod
     def from_source(cls, source: TraceSource) -> "WorkloadFeatureStats":
         """Fold one source's request features into fresh statistics."""
-        return cls.from_features(extract_request_features(source))
+        return cls.from_feature_columns(source_feature_columns(source))
 
     def merge(self, other: "WorkloadFeatureStats") -> "WorkloadFeatureStats":
         for key, stats in other.profiles.items():
@@ -395,11 +360,11 @@ def compare_feature_stats(
 ) -> ValidationReport:
     """Build a :class:`ValidationReport` from two accumulated sides.
 
-    The streaming counterpart of :func:`compare_workloads`: given
-    feature statistics folded (and possibly merged across shards or
-    workers) for the original and synthetic workloads, produces a
-    report that matches the batch one within the documented FP
-    tolerance — exactly, for the quantile/KS/modal-op fields.
+    Given feature statistics folded (and possibly merged across shards
+    or workers) for the original and synthetic workloads, produces a
+    report that matches the per-feature-list definition within the
+    documented FP tolerance — exactly, for the quantile/KS/modal-op
+    fields.
     """
     if original.n == 0 or synthetic.n == 0:
         raise ValueError("both trace sets must contain complete requests")
@@ -453,79 +418,8 @@ def compare_workloads(
     Profiles observed fewer than ``min_profile_count`` times on either
     side are skipped (their means are too noisy to grade a model on).
     """
-    orig = extract_request_features(original)
-    synth = extract_request_features(synthetic)
-    if not orig or not synth:
-        raise ValueError("both trace sets must contain complete requests")
-
-    orig_by_profile: dict[tuple, list[RequestFeatures]] = {}
-    for f in orig:
-        orig_by_profile.setdefault(profile_key(f), []).append(f)
-    synth_by_profile: dict[tuple, list[RequestFeatures]] = {}
-    for f in synth:
-        synth_by_profile.setdefault(profile_key(f), []).append(f)
-
-    profiles = []
-    for key in sorted(set(orig_by_profile) & set(synth_by_profile)):
-        o, s = orig_by_profile[key], synth_by_profile[key]
-        if len(o) < min_profile_count or len(s) < min_profile_count:
-            continue
-        modal_mem_op = _modal_op([f.memory_op for f in o])
-        modal_sto_op = _modal_op([f.storage_op for f in o])
-        profiles.append(
-            ProfileComparison(
-                profile=key,
-                n_original=len(o),
-                n_synthetic=len(s),
-                network_bytes=(
-                    float(np.mean([f.network_bytes for f in o])),
-                    float(np.mean([f.network_bytes for f in s])),
-                ),
-                cpu_utilization=(
-                    float(np.mean([f.cpu_utilization for f in o])),
-                    float(np.mean([f.cpu_utilization for f in s])),
-                ),
-                memory_bytes=(
-                    float(np.mean([f.memory_bytes for f in o])),
-                    float(np.mean([f.memory_bytes for f in s])),
-                ),
-                storage_bytes=(
-                    float(np.mean([f.storage_bytes for f in o])),
-                    float(np.mean([f.storage_bytes for f in s])),
-                ),
-                latency=(
-                    float(np.mean([f.latency for f in o])),
-                    float(np.mean([f.latency for f in s])),
-                ),
-                latency_p95=(
-                    float(np.percentile([f.latency for f in o], 95)),
-                    float(np.percentile([f.latency for f in s], 95)),
-                ),
-                memory_op_match=float(
-                    np.mean([f.memory_op == modal_mem_op for f in s])
-                ),
-                storage_op_match=float(
-                    np.mean([f.storage_op == modal_sto_op for f in s])
-                ),
-            )
-        )
-    if not profiles:
-        raise ValueError("no common profiles with enough requests to compare")
-
-    ks, pvalue = ks_two_sample(
-        [f.latency for f in orig], [f.latency for f in synth]
+    return compare_feature_stats(
+        WorkloadFeatureStats.from_source(original),
+        WorkloadFeatureStats.from_source(synthetic),
+        min_profile_count=min_profile_count,
     )
-    report = ValidationReport(
-        profiles=profiles,
-        latency_ks=ks,
-        latency_ks_pvalue=pvalue,
-        joint_correlation_original=cross_correlation(
-            [f.network_bytes for f in orig], [f.storage_bytes for f in orig]
-        ),
-        joint_correlation_synthetic=cross_correlation(
-            [f.network_bytes for f in synth], [f.storage_bytes for f in synth]
-        ),
-        n_original=len(orig),
-        n_synthetic=len(synth),
-    )
-    return report

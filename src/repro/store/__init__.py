@@ -42,7 +42,7 @@ from .manifest import (
     shard_manifest_paths,
     write_round_file,
 )
-from .shards import ShardStore, is_shard_store, shifter_for
+from .shards import ShardStore, is_shard_store, shifter_for, stream_columns
 from .watch import StoreSnapshot, take_snapshot
 from .stitch import (
     StitchOffsets,
@@ -124,6 +124,7 @@ __all__ = [
     "shard_manifest_paths",
     "shard_stream_hashes",
     "shifter_for",
+    "stream_columns",
     "stream_content_hash",
     "take_snapshot",
     "trace_extent",

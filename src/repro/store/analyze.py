@@ -1,21 +1,22 @@
 """One-pass streaming analysis over trace sources, sharded in parallel.
 
-The streaming counterpart of ``WorkloadProfile.from_traces`` and
-``compare_workloads``: each worker folds ONE shard's records through
-the mergeable accumulators (:class:`~repro.core.WorkloadProfileBuilder`
-for characterization, :class:`~repro.core.WorkloadFeatureStats` for
-validation), and the driver merges the per-shard accumulators in
-shard-index order.  The stitched merged ``TraceSet`` is never
-constructed — the property the forbid-stitch tests pin down — and no
-worker ever holds more than one shard's records.
+Every source goes through one columnar fold
+(:func:`fold_stream_columns`) into the mergeable accumulators
+(:class:`~repro.core.WorkloadProfileBuilder` for characterization,
+:class:`~repro.core.WorkloadFeatureStats` for validation).  A shard
+store folds ONE shard per worker, and the driver merges the
+per-shard accumulators in shard-index order.  The stitched merged
+``TraceSet`` is never constructed — the property the forbid-stitch
+tests pin down — and no worker ever holds more than one shard's
+records.
 
 Shard records are shifted by the manifest-derived
 :class:`~repro.store.stitch.StitchOffsets` before folding, so every
 accumulator sees exactly the timestamps and identifiers the merged
-timeline would carry.  Feature extraction is per-shard-exact because a
-request's records never span shards (each shard is one replica's
-complete run); the only cross-shard quantity, the storage seek seam,
-is handled inside the seam-aware accumulators.
+timeline would carry.  The features the statistics consume are
+per-shard-exact because a request's records never span shards (each
+shard is one replica's complete run); the only cross-shard quantity,
+the storage seek seam, is handled inside the seam-aware accumulators.
 
 Per-class validation replays each request class's model with a
 deterministic per-class RNG stream (:func:`class_rng`), compares each
@@ -47,7 +48,12 @@ from .cache import (
     save_analysis_cache,
     shard_content_hash,
 )
-from .shards import ShardStore, _shift, shifter_for  # noqa: F401  (_shift: API)
+from .shards import (
+    ShardStore,
+    _shift,  # noqa: F401  (_shift: API)
+    shifter_for,
+    stream_columns,
+)
 from .stitch import StitchOffsets
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -68,6 +74,7 @@ __all__ = [
     "characterize_source",
     "class_rng",
     "class_seed",
+    "fold_stream_columns",
     "validate_per_class",
 ]
 
@@ -104,69 +111,52 @@ class ShardAnalysisTask:
     max_quantile_values: Optional[int] = None
 
 
-#: Columns each analysis stream fold actually consumes — the union of
-#: what ``WorkloadProfileBuilder.update_batch`` and
-#: ``request_feature_columns`` read.  Columnar shards open only these
-#: ``.bin`` files; jsonl shards decode once and pivot to the same
-#: subset.  The two ``json`` columns (``extra``, ``annotations``) are
-#: never requested: no analysis statistic consumes them.
-_ANALYSIS_COLUMNS = {
-    "network": ("request_id", "server", "timestamp", "size_bytes", "direction"),
-    "cpu": ("request_id", "server", "timestamp", "busy_seconds", "phase"),
-    "memory": ("request_id", "timestamp", "size_bytes", "op"),
-    "storage": ("request_id", "timestamp", "lbn", "size_bytes", "op", "queue_depth"),
-    "requests": ("request_id", "request_class", "arrival_time", "completion_time"),
-    "spans": ("start", "end"),
-}
+def _analysis_columns(stream: str) -> list[str]:
+    """Columns the analysis fold reads from one stream.
+
+    The union of what ``WorkloadProfileBuilder.update_batch`` and
+    ``request_feature_columns`` read: columnar shards open only these
+    ``.bin`` files; jsonl shards decode once and pivot to the same
+    subset.  The two ``json`` columns (``extra``, ``annotations``) are
+    never requested: no analysis statistic consumes them.
+    """
+    from ..core.features import FEATURE_COLUMNS
+    from ..core.profile import PROFILE_COLUMNS
+
+    return sorted(
+        set(PROFILE_COLUMNS[stream]) | set(FEATURE_COLUMNS.get(stream, ()))
+    )
 
 
-def analyze_shard(task: ShardAnalysisTask):
-    """Worker entry point: accumulate one shard, return the accumulators.
+def fold_stream_columns(
+    columns: dict,
+    window: float = 0.25,
+    cores: int = 8,
+    max_quantile_values: Optional[int] = None,
+):
+    """The analysis fold: profile and validation statistics from columns.
 
-    Returns ``(profile_builder, feature_stats, per_class_stats)``.
-
-    Both codecs fold through one code path: each stream is loaded as
-    full column arrays (columnar shards serve their buffers directly,
-    jsonl shards decode once and pivot), shifted in column space by the
-    manifest-derived stitch offsets, and folded through the vectorized
-    ``update_batch`` accumulators — so per-record Python dispatch never
-    runs on this hot path, and analyses over the two codecs are
-    byte-identical because they see the identical arrays.
+    ``columns`` maps every stream name to its stitched column dict
+    (holding at least :func:`_analysis_columns`).  Returns
+    ``(profile_builder, feature_stats, per_class_stats)``.  Every
+    source folds through here — one shard of a store at a time in
+    :func:`analyze_shard`, any other source whole in
+    :func:`analyze_source` — through the vectorized ``update_batch``
+    accumulators, so per-record Python dispatch never runs.
     """
     from ..core import (
         WorkloadFeatureStats,
         WorkloadProfileBuilder,
         request_feature_columns,
     )
-    from ..tracing.columnar import columns_from_records, shift_columns, take_columns
+    from ..tracing.columnar import take_columns
 
-    store = ShardStore(task.directory)
-    manifest = next(
-        m for m in store.manifests if m.index == task.shard_index
-    )
     builder = WorkloadProfileBuilder(
-        window=task.window,
-        cores=task.cores,
-        max_quantile_values=task.max_quantile_values,
+        window=window, cores=cores, max_quantile_values=max_quantile_values
     )
-    offsets = task.offsets
-    shard_columns: dict[str, dict] = {}
     for stream in STREAM_TYPES:
-        names = list(_ANALYSIS_COLUMNS[stream])
-        cols = store.load_shard_stream_columns(manifest, stream, names)
-        if cols is None:  # empty stream: fold zero-length columns
-            cols = columns_from_records(stream, [], names)
-        cols = shift_columns(
-            stream,
-            cols,
-            time_offset=offsets.time,
-            request_id_offset=offsets.request_id,
-            span_id_offset=offsets.span_id,
-        )
-        builder.update_batch(stream, cols)
-        if stream != "spans":  # spans carry no request features
-            shard_columns[stream] = cols
-    features = request_feature_columns(shard_columns)
+        builder.update_batch(stream, columns[stream])
+    features = request_feature_columns(columns)
     overall = WorkloadFeatureStats.from_feature_columns(features)
     per_class: dict[str, WorkloadFeatureStats] = {}
     klass = features["request_class"]
@@ -177,6 +167,32 @@ def analyze_shard(task: ShardAnalysisTask):
                 take_columns(features, mask)
             )
     return builder, overall, per_class
+
+
+def analyze_shard(task: ShardAnalysisTask):
+    """Worker entry point: accumulate one shard, return the accumulators.
+
+    Returns ``(profile_builder, feature_stats, per_class_stats)``.
+
+    Each stream is loaded as full column arrays (columnar shards serve
+    their buffers directly, jsonl shards decode once and pivot),
+    shifted in column space by the manifest-derived stitch offsets, and
+    folded by :func:`fold_stream_columns` — so analyses over the two
+    codecs are byte-identical because they see the identical arrays.
+    """
+    store = ShardStore(task.directory)
+    manifest = next(
+        m for m in store.manifests if m.index == task.shard_index
+    )
+    columns = {
+        stream: store.shifted_stream_columns(
+            manifest, task.offsets, stream, _analysis_columns(stream)
+        )
+        for stream in STREAM_TYPES
+    }
+    return fold_stream_columns(
+        columns, task.window, task.cores, task.max_quantile_values
+    )
 
 
 @dataclass
@@ -208,7 +224,8 @@ def analyze_source(
     worker per shard and merges the per-shard accumulators in
     shard-index order — numerically equal to the single-pass fold for
     any worker count.  Any other :class:`~repro.tracing.TraceSource`
-    is folded inline.
+    is read as stitched columns (:func:`~repro.store.stream_columns`)
+    and folded inline; both go through :func:`fold_stream_columns`.
 
     With ``cache=True`` (stores only) each shard's folded accumulator
     state is persisted under ``<store>/_cache/<shard>/`` keyed by the
@@ -310,19 +327,13 @@ def analyze_source(
                 else:
                     per_class[cls] = stats
     else:
-        from ..core import extract_request_features
-
-        builder = WorkloadProfileBuilder(
-            window=window, cores=cores, max_quantile_values=max_quantile_values
+        columns = {
+            stream: stream_columns(source, stream, _analysis_columns(stream))
+            for stream in STREAM_TYPES
+        }
+        builder, features, per_class = fold_stream_columns(
+            columns, window, cores, max_quantile_values
         )
-        builder.add_source(source)
-        feats = extract_request_features(source)
-        features = WorkloadFeatureStats.from_features(feats)
-        per_class = {}
-        for f in feats:
-            if f.request_class not in per_class:
-                per_class[f.request_class] = WorkloadFeatureStats()
-            per_class[f.request_class].add(f)
     elapsed = time.perf_counter() - start
     return SourceAnalysis(
         profile=builder.profile(),

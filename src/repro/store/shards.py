@@ -24,12 +24,20 @@ import json
 from pathlib import Path
 from typing import Any, Iterator
 
-from ..tracing import TraceSet, shift_request, shift_span, shift_subsystem_record
+from ..tracing import (
+    TraceSet,
+    TraceSource,
+    shift_request,
+    shift_span,
+    shift_subsystem_record,
+)
 from ..tracing.columnar import (
     columns_from_records,
+    concat_columns,
     find_columnar_stream,
     iter_columnar_records,
     read_columnar_columns,
+    shift_columns,
 )
 from ..tracing.store import (
     STREAM_TYPES,
@@ -42,7 +50,7 @@ from ..tracing.store import (
 from .manifest import MANIFEST_FILENAME, ShardManifest, shard_manifest_paths
 from .stitch import StitchOffsets, offsets_for, total_extent
 
-__all__ = ["ShardStore", "is_shard_store", "shifter_for"]
+__all__ = ["ShardStore", "is_shard_store", "shifter_for", "stream_columns"]
 
 
 def is_shard_store(directory: str | Path) -> bool:
@@ -267,6 +275,30 @@ class ShardStore:
             return columns_from_records(stream, records, names)
         return read_columnar_columns(shard_dir, stream, names)
 
+    def shifted_stream_columns(
+        self,
+        manifest: ShardManifest,
+        offsets: StitchOffsets,
+        stream: str,
+        names: "list[str] | None" = None,
+    ) -> "dict[str, Any]":
+        """One shard's stream as column arrays on the stitched timeline.
+
+        :meth:`load_shard_stream_columns` shifted by the shard's stitch
+        ``offsets`` (the column-space :func:`shifter_for`); an empty
+        stream comes back as zero-length columns.
+        """
+        cols = self.load_shard_stream_columns(manifest, stream, names)
+        if cols is None:
+            cols = columns_from_records(stream, [], names)
+        return shift_columns(
+            stream,
+            cols,
+            time_offset=offsets.time,
+            request_id_offset=offsets.request_id,
+            span_id_offset=offsets.span_id,
+        )
+
     def iter_stream(self, stream: str) -> Iterator:
         """Yield all shards' records for ``stream``, stitched.
 
@@ -335,3 +367,28 @@ class ShardStore:
     def summary(self) -> dict[str, int]:
         """Record counts per stream (same shape as ``TraceSet.summary``)."""
         return self.counts()
+
+
+def stream_columns(
+    source: TraceSource, stream: str, names: "list[str] | None" = None
+) -> "dict[str, Any]":
+    """One stream of any :class:`~repro.tracing.TraceSource` as columns.
+
+    The column dict :func:`repro.tracing.columnar.read_columnar_columns`
+    returns, holding the stream's stitched rows in ``iter_records``
+    order.  A :class:`ShardStore` concatenates its shards'
+    :meth:`~ShardStore.shifted_stream_columns`; any other source pivots
+    its records through
+    :func:`~repro.tracing.columnar.columns_from_records`.  ``names``
+    restricts which columns are built.
+    """
+    if not isinstance(source, ShardStore):
+        return columns_from_records(
+            stream, list(source.iter_records(stream)), names
+        )
+    parts = [
+        source.shifted_stream_columns(manifest, offsets, stream, names)
+        for manifest, offsets in zip(source.manifests, source.offsets())
+    ]
+    filled = [part for part in parts if part["n"]] or parts[:1]
+    return filled[0] if len(filled) == 1 else concat_columns(filled)

@@ -26,20 +26,10 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Any, Dict, Iterator, Protocol, Tuple, runtime_checkable
+from typing import Dict, Iterator, Protocol, Tuple, runtime_checkable
 
-from .columnar import (
-    columns_from_records,
-    find_columnar_stream,
-    iter_columnar_batches,
-    iter_columnar_records,
-)
-from .store import (
-    STREAM_TYPES,
-    find_stream_file,
-    iter_record_batches,
-    iter_stream_records,
-)
+from .columnar import find_columnar_stream, iter_columnar_records
+from .store import STREAM_TYPES, find_stream_file, iter_stream_records
 from .tracer import TraceSet
 
 __all__ = ["FlatTraceDump", "TraceSource", "as_trace_set"]
@@ -125,30 +115,6 @@ class FlatTraceDump:
         if find_columnar_stream(self.directory, stream) is not None:
             return iter_columnar_records(self.directory, stream)
         return iter(())
-
-    def iter_column_batches(
-        self, stream: str, batch_size: int = 4096
-    ) -> Iterator[Dict[str, Any]]:
-        """Yield one stream as numpy column-dict batches.
-
-        Columnar dumps serve their buffers directly; JSONL dumps decode
-        record batches and pivot them through
-        :func:`repro.tracing.columnar.columns_from_records`, so both
-        layouts hand consumers the identical representation.
-        """
-        if stream not in STREAM_TYPES:
-            raise ValueError(f"unknown stream {stream!r}")
-        path = find_stream_file(self.directory, stream)
-        if path is not None:
-            for batch in iter_record_batches(
-                path, STREAM_TYPES[stream], batch_size=batch_size
-            ):
-                yield columns_from_records(stream, batch)
-            return
-        if find_columnar_stream(self.directory, stream) is not None:
-            yield from iter_columnar_batches(
-                self.directory, stream, batch_size=batch_size
-            )
 
     def extent(self) -> float:
         if self._extent is None:

@@ -25,7 +25,6 @@ from repro.cli import main
 from repro.core import (
     WorkloadFeatureStats,
     WorkloadProfileBuilder,
-    extract_request_features,
     model_to_dict,
 )
 from repro.datacenter import FleetSpec, collect_fleet_to_store, run_gfs_workload
@@ -50,6 +49,7 @@ from repro.store import (
     load_store_rounds,
     train_per_class,
 )
+from tests import batch_oracle as oracle
 
 # -- accumulator snapshots ---------------------------------------------------
 
@@ -248,9 +248,7 @@ def test_profile_builder_rejects_newer_schema(gfs_traces):
 
 
 def test_feature_stats_state_roundtrip(gfs_traces):
-    stats = WorkloadFeatureStats.from_features(
-        extract_request_features(gfs_traces)
-    )
+    stats = WorkloadFeatureStats.from_source(gfs_traces)
     restored = WorkloadFeatureStats.from_state(
         json.loads(json.dumps(stats.state()))
     )
@@ -354,6 +352,10 @@ def test_warm_analysis_equals_cold(cached_store):
     uncached = analyze_source(cached_store, cache=False)
     assert uncached.profile == cold.profile
     assert (uncached.cache_hits, uncached.cache_misses) == (0, 0)
+    # ...and both equal the record-by-record reference on the merge.
+    assert cold.profile == oracle.profile_from_traces(
+        ShardStore(cached_store).merged()
+    )
 
 
 def test_workers_spawn_only_for_the_new_round(cached_store, monkeypatch):

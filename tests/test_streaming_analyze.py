@@ -1,13 +1,15 @@
 """Tests for the streaming analysis engine and the TraceSource API.
 
-Pins down the PR-4 acceptance contract: streaming accumulators merge
-associatively; the sharded one-pass profile/validation equals the batch
-path on the materialized merge for 1, 2 and 4 workers; per-class
-validation matches a manual per-class split; `repro characterize --in`
-and `repro validate --per-class --in` never construct the merged
-``TraceSet`` (the stitch path is monkeypatched to explode); and the
-pre-0.3 keyword signatures warn ``DeprecationWarning`` but still work.
+Pins down the streaming contract: accumulators merge associatively;
+the sharded one-pass profile/validation equals the record-by-record
+reference (``tests/batch_oracle.py``) on the materialized merge for 1,
+2 and 4 workers; per-class validation matches a manual per-class split
+graded by the reference; and `repro characterize --in` and `repro
+validate --per-class --in` never construct the merged ``TraceSet``
+(the stitch path is monkeypatched to explode).
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -17,13 +19,11 @@ from repro.core import (
     KoozaTrainer,
     ReplayHarness,
     WorkloadFeatureStats,
-    WorkloadProfile,
     WorkloadProfileBuilder,
     compare_feature_stats,
-    compare_workloads,
-    extract_request_features,
     split_traces_by_class,
 )
+from repro.core.profile import PROFILE_COLUMNS
 from repro.datacenter import FleetSpec, collect_fleet_to_store, run_gfs_workload
 from repro.stats import (
     CategoricalCounter,
@@ -42,6 +42,7 @@ from repro.store import (
     characterize_source,
     class_rng,
     class_seed,
+    stream_columns,
     train_per_class,
     validate_per_class,
 )
@@ -53,6 +54,8 @@ from repro.tracing import (
     load_traces,
     save_traces,
 )
+from repro.tracing.columnar import take_columns
+from tests import batch_oracle as oracle
 
 
 @pytest.fixture(scope="module")
@@ -218,12 +221,12 @@ def test_flat_trace_dump_requires_stream_files(tmp_path):
         FlatTraceDump(tmp_path)
 
 
-# -- streaming == batch ------------------------------------------------------
+# -- streaming == record-by-record reference ---------------------------------
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_streaming_profile_equals_batch(store_dir, merged, workers):
-    batch = WorkloadProfile.from_traces(merged)
+    batch = oracle.profile_from_traces(merged)
     streamed = characterize_source(ShardStore(store_dir), workers=workers)
     assert streamed == batch
     assert "storage:" in streamed.describe()
@@ -237,18 +240,27 @@ def test_streaming_profile_builder_merge_associative(merged):
     whole.add_source(merged)
     parts = [WorkloadProfileBuilder() for _ in range(3)]
     for stream in merged.streams():
-        records = list(merged.iter_records(stream))
-        third = -(-len(records) // 3) or 1
-        for i, record in enumerate(records):
-            parts[min(i // third, 2)].add(stream, record)
+        cols = stream_columns(merged, stream, PROFILE_COLUMNS[stream])
+        n = cols["n"]
+        third = -(-n // 3) or 1
+        bounds = [0, min(third, n), min(2 * third, n), n]
+        for part, lo, hi in zip(parts, bounds, bounds[1:]):
+            part.update_batch(stream, take_columns(cols, np.arange(lo, hi)))
     parts[0].merge(parts[1]).merge(parts[2])
     assert parts[0].profile() == whole.profile()
+    assert whole.profile() == oracle.profile_from_traces(merged)
+    # Column batches leave the same state as folding record by record.
+    by_record = WorkloadProfileBuilder()
+    for stream in merged.streams():
+        for record in merged.iter_records(stream):
+            oracle.add_record(by_record, stream, record)
+    assert json.dumps(by_record.state()) == json.dumps(whole.state())
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_streaming_validation_stats_equal_batch(store_dir, merged, workers):
     analysis = analyze_source(ShardStore(store_dir), workers=workers)
-    batch = WorkloadFeatureStats.from_features(extract_request_features(merged))
+    batch = oracle.feature_stats(oracle.extract_request_features(merged))
     assert analysis.features.n == batch.n
     assert set(analysis.features.profiles) == set(batch.profiles)
     for key, o in batch.profiles.items():
@@ -267,7 +279,7 @@ def test_compare_feature_stats_matches_compare_workloads(merged):
     model = KoozaTrainer().fit(merged)
     synthetic = model.synthesize(150, np.random.default_rng(8))
     replayed = ReplayHarness(seed=9).replay(synthetic)
-    batch = compare_workloads(merged, replayed)
+    batch = oracle.compare_workloads(merged, replayed)
     streamed = compare_feature_stats(
         WorkloadFeatureStats.from_source(merged),
         WorkloadFeatureStats.from_source(replayed),
@@ -304,7 +316,7 @@ def test_per_class_validation_matches_manual_split(store_dir, merged):
             report.n_original, class_rng(42, cls)
         )
         replayed = ReplayHarness(seed=class_seed(43, cls)).replay(synthetic)
-        manual = compare_workloads(by_class[cls], replayed)
+        manual = oracle.compare_workloads(by_class[cls], replayed)
         assert report.report.latency_ks == manual.latency_ks
         assert report.report.n_original == manual.n_original
         assert report.report.worst_feature_deviation_pct == pytest.approx(
@@ -346,35 +358,6 @@ def test_characterize_and_validate_never_merge(store_dir, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "storage:" in out
     assert "<mix>" in out
-
-
-# -- deprecation shims -------------------------------------------------------
-
-
-def test_fit_traces_keyword_warns(merged):
-    with pytest.warns(DeprecationWarning, match="traces"):
-        model = KoozaTrainer().fit(traces=merged)
-    assert model.n_training_requests > 0
-    with pytest.raises(TypeError):
-        KoozaTrainer().fit(merged, traces=merged)
-    with pytest.raises(TypeError):
-        KoozaTrainer().fit()
-
-
-def test_extract_features_traces_keyword_warns(merged):
-    with pytest.warns(DeprecationWarning):
-        features = extract_request_features(traces=merged)
-    assert features == extract_request_features(merged)
-
-
-def test_train_per_class_directory_keyword_warns(store_dir):
-    with pytest.warns(DeprecationWarning):
-        fit = train_per_class(directory=store_dir, workers=1)
-    assert fit.models
-    with pytest.warns(DeprecationWarning), pytest.raises(TypeError):
-        train_per_class(store_dir, directory=store_dir)
-    with pytest.raises(TypeError):
-        train_per_class()
 
 
 def test_train_per_class_accepts_flat_sources(merged):
